@@ -77,6 +77,7 @@ func churnDisseminateCell(cellCfg Config, w workload.Workload, flows []workload.
 				Call:     policy,
 			})
 		})
+		cond.Logf = cellCfg.Logf
 		if err := cond.BootInitial(); err != nil {
 			return res, err
 		}

@@ -313,6 +313,7 @@ func churnWorkloadCell(cellCfg Config, flows []workload.Flow, rep int) (workload
 				Call:     policy,
 			})
 		})
+		cond.Logf = cellCfg.Logf
 		if err := cond.BootInitial(); err != nil {
 			return res, err
 		}

@@ -124,13 +124,44 @@ func (a Advertisement) Encode(e *wire.Encoder) {
 	}
 }
 
+// MinEncodedLen is the shortest encoding of an advertisement: kind byte, a
+// length-prefixed 16-byte ID, two empty strings, a one-byte time and a zero
+// attribute count. Decoders of advertisement lists bound a count by it
+// before allocating.
+const MinEncodedLen = 1 + 1 + len(ID{}) + 1 + 1 + 1 + 1
+
 // DecodeAdvertisement consumes one advertisement from the decoder.
 func DecodeAdvertisement(d *wire.Decoder) (Advertisement, error) {
+	var r DirDecoder
+	return r.Decode(d)
+}
+
+// DirDecoder decodes a stream of advertisements in canonical (Name, ID)
+// order against prev, a directory in the same order decoded earlier. A
+// decoded advertisement whose (Name, ID) appears in prev reuses that
+// entry's Name, Addr and Attrs wherever its bytes are equal, so
+// re-downloading an unchanged directory allocates no strings. Reuse never
+// changes what is decoded — any prev, or none, yields the same values as
+// DecodeAdvertisement — it only decides which allocations are needed. The
+// decoded values share strings and Attrs with prev, so both must be treated
+// as read-only.
+type DirDecoder struct {
+	prev []Advertisement
+	next int // merge cursor into prev
+}
+
+// NewDirDecoder returns a decoder reusing prev (which may be nil).
+func NewDirDecoder(prev []Advertisement) *DirDecoder {
+	return &DirDecoder{prev: prev}
+}
+
+// Decode consumes one advertisement from d.
+func (r *DirDecoder) Decode(d *wire.Decoder) (Advertisement, error) {
 	var a Advertisement
 	a.Kind = AdvKind(d.Byte())
 	idb := d.BytesField()
-	a.Name = d.StringField()
-	a.Addr = d.StringField()
+	name := d.BytesField()
+	addr := d.BytesField()
 	a.Expires = d.Time()
 	n := d.Uint64()
 	if err := d.Err(); err != nil {
@@ -140,18 +171,77 @@ func DecodeAdvertisement(d *wire.Decoder) (Advertisement, error) {
 		return Advertisement{}, fmt.Errorf("%w: advertisement id of %d bytes", wire.ErrCorrupt, len(idb))
 	}
 	copy(a.ID[:], idb)
-	if n > uint64(d.Remaining()) {
+	// Every attribute takes at least two bytes (two length prefixes).
+	if n > uint64(d.Remaining()/2) {
 		return Advertisement{}, fmt.Errorf("%w: %d attrs exceed remaining input", wire.ErrCorrupt, n)
 	}
+	var prev Advertisement
+	if p := r.match(name, a.ID); p != nil {
+		prev = *p
+	}
+	a.Name = reuse(name, prev.Name)
+	a.Addr = reuse(addr, prev.Addr)
+	if n == 0 {
+		return a, nil
+	}
+	// same reports that every attribute so far equals prev's: while it
+	// holds, a.Attrs stays unallocated and prev.Attrs is the result.
+	same := uint64(len(prev.Attrs)) == n
+	if !same {
+		a.Attrs = make([]Attr, 0, n)
+	}
 	for i := uint64(0); i < n; i++ {
-		k := d.StringField()
-		v := d.StringField()
+		k := d.BytesField()
+		v := d.BytesField()
 		if err := d.Err(); err != nil {
 			return Advertisement{}, err
 		}
-		a.Attrs = append(a.Attrs, Attr{k, v})
+		var pa Attr
+		if i < uint64(len(prev.Attrs)) {
+			pa = prev.Attrs[i]
+		}
+		if same {
+			if string(k) == pa.Key && string(v) == pa.Value {
+				continue
+			}
+			same = false
+			a.Attrs = append(make([]Attr, 0, n), prev.Attrs[:i]...)
+		}
+		a.Attrs = append(a.Attrs, Attr{reuse(k, pa.Key), reuse(v, pa.Value)})
 	}
-	return a, d.Err()
+	if same {
+		a.Attrs = prev.Attrs
+	}
+	return a, nil
+}
+
+// match advances the merge cursor to (name, id) and returns prev's entry
+// with that key, or nil. Input out of canonical order only costs reuse.
+func (r *DirDecoder) match(name []byte, id ID) *Advertisement {
+	for r.next < len(r.prev) {
+		p := &r.prev[r.next]
+		if p.Name > string(name) {
+			return nil
+		}
+		if p.Name == string(name) {
+			if c := bytes.Compare(p.ID[:], id[:]); c > 0 {
+				return nil
+			} else if c == 0 {
+				r.next++
+				return p
+			}
+		}
+		r.next++
+	}
+	return nil
+}
+
+// reuse returns s when b holds its bytes, and a fresh string otherwise.
+func reuse(b []byte, s string) string {
+	if string(b) == s {
+		return s
+	}
+	return string(b)
 }
 
 // Cache is a thread-safe advertisement store with TTL expiry and bounded
@@ -174,10 +264,12 @@ type Cache struct {
 	minExpiry time.Time
 	// version counts mutations (publish, eviction, expiry removal); memo
 	// holds the last whole-kind query result per kind, valid while the
-	// version matches and no included entry has expired. Selection queries
-	// the full peer directory far more often than leases renew it, so the
-	// memo turns the common Query("") from an O(n log n) scan-and-sort
-	// into a copy of a prebuilt slice.
+	// version matches and no included entry has expired. Selection and
+	// discovery read the full peer directory far more often than it changes
+	// membership, so the memo turns the common Query("") from an O(n log n)
+	// scan-and-sort into a copy of a prebuilt slice, and View into no copy
+	// at all. A renewal (re-publish of a present ID under the same kind and
+	// name) patches the memo in place rather than discarding it.
 	version uint64
 	memo    map[AdvKind]*kindMemo
 }
@@ -218,15 +310,44 @@ func (c *Cache) Publish(a Advertisement) {
 	if !exists && len(c.byID) >= c.limit {
 		c.evictOldestLocked()
 	}
+	patched := exists && c.patchMemoLocked(a, now)
 	if exists {
 		c.kindLen[old.Kind]--
 	}
 	c.kindLen[a.Kind]++
 	c.byID[a.ID] = a
 	c.version++
+	if patched {
+		c.memo[a.Kind].version = c.version
+	}
 	if c.minExpiry.IsZero() || a.Expires.Before(c.minExpiry) {
 		c.minExpiry = a.Expires
 	}
+}
+
+// patchMemoLocked applies a renewal to the current memo of a's kind in
+// place, and reports whether it did. It applies when the memo holds a's
+// (Name, ID) — a current memo is exactly the live set, so that is the entry
+// a replaces, under an unchanged kind and canonical position; a publish that
+// changes the kind or the name finds nothing and leaves the memo to a
+// rebuild. The patched memo equals a rebuild: the same entries with one
+// payload replaced, and validUntil only ever moves down (a stale-low bound
+// costs one rebuild, never a wrong answer). Caller holds c.mu, has run
+// gcLocked(now), and bumps the version afterwards.
+func (c *Cache) patchMemoLocked(a Advertisement, now time.Time) bool {
+	m := c.memo[a.Kind]
+	if !m.fresh(c.version, now) {
+		return false
+	}
+	i, found := slices.BinarySearchFunc(m.result, a, CompareAdvertisements)
+	if !found {
+		return false
+	}
+	m.result[i] = a
+	if a.Expires.Before(m.validUntil) {
+		m.validUntil = a.Expires
+	}
+	return true
 }
 
 // gcLocked removes expired entries — exactly those with Expires <= now,
@@ -282,16 +403,13 @@ func (c *Cache) Lookup(id ID) (Advertisement, bool) {
 // Query returns live advertisements of the kind whose Name matches name
 // exactly; empty name matches all. Results are sorted by Name then ID for
 // determinism. The returned slice is the caller's to keep (whole-kind
-// queries copy out of a memo rebuilt only when the directory changes).
+// queries copy out of the memo; View reads it without the copy).
 func (c *Cache) Query(kind AdvKind, name string) []Advertisement {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
 	if name == "" {
-		m := c.memo[kind]
-		if m == nil || m.version != c.version || !(m.validUntil.IsZero() || now.Before(m.validUntil)) {
-			m = c.buildMemoLocked(kind, now)
-		}
+		m := c.memoLocked(kind, now)
 		if len(m.result) == 0 {
 			return nil
 		}
@@ -314,6 +432,32 @@ func (c *Cache) Query(kind AdvKind, name string) []Advertisement {
 	}
 	SortAdvertisements(out)
 	return out
+}
+
+// View calls fn with the live advertisements of kind in canonical (Name, ID)
+// order — exactly what Query(kind, "") returns — without copying them: fn
+// reads the cache's memo under the cache lock. fn must not modify the slice
+// or keep it past its return, and must not call into this cache (it may
+// view other caches). It is the directory's zero-copy read path: discovery
+// encodes straight from it.
+func (c *Cache) View(kind AdvKind, fn func(advs []Advertisement)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	fn(c.memoLocked(kind, c.now()).result)
+}
+
+// fresh reports whether the memo still answers exactly at version and now.
+func (m *kindMemo) fresh(version uint64, now time.Time) bool {
+	return m != nil && m.version == version && (m.validUntil.IsZero() || now.Before(m.validUntil))
+}
+
+// memoLocked returns the kind's memo, rebuilding it when stale. Caller
+// holds c.mu.
+func (c *Cache) memoLocked(kind AdvKind, now time.Time) *kindMemo {
+	if m := c.memo[kind]; m.fresh(c.version, now) {
+		return m
+	}
+	return c.buildMemoLocked(kind, now)
 }
 
 // buildMemoLocked scans and sorts the live entries of kind, recording the

@@ -193,24 +193,53 @@ func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertise
 		// A named query touches only the owning shard.
 		return b.shardOf(name).cache.Query(kind, name)
 	}
-	if len(b.shards) == 1 {
-		return b.shards[0].cache.Query(kind, name)
-	}
-	// Each shard answers in canonical order already; a k-way merge (k =
-	// shard count, small) restores the global order without re-sorting the
-	// whole directory on every selection.
-	parts := make([][]jxta.Advertisement, 0, len(b.shards))
-	total := 0
-	for _, sh := range b.shards {
-		if p := sh.cache.Query(kind, name); len(p) > 0 {
-			parts = append(parts, p)
-			total += len(p)
+	var out []jxta.Advertisement
+	b.viewDirectory(kind, func(parts [][]jxta.Advertisement) {
+		if n := directoryLen(parts); n > 0 {
+			out = make([]jxta.Advertisement, 0, n)
 		}
+		mergeDirectory(parts, func(a *jxta.Advertisement) { out = append(out, *a) })
+	})
+	return out
+}
+
+// viewDirectory calls fn with every shard's whole-kind directory, in shard
+// order and non-empty parts only, read in place from the caches' memos
+// (jxta.Cache.View). fn runs holding every shard's cache lock, taken in
+// shard order — the only place more than one is held — so it must not
+// keep the parts or touch the directory.
+func (b *Broker) viewDirectory(kind jxta.AdvKind, fn func(parts [][]jxta.Advertisement)) {
+	parts := make([][]jxta.Advertisement, 0, len(b.shards))
+	var view func(i int)
+	view = func(i int) {
+		if i == len(b.shards) {
+			fn(parts)
+			return
+		}
+		b.shards[i].cache.View(kind, func(p []jxta.Advertisement) {
+			if len(p) > 0 {
+				parts = append(parts, p)
+			}
+			view(i + 1)
+		})
 	}
-	if len(parts) == 1 {
-		return parts[0]
+	view(0)
+}
+
+// directoryLen counts the advertisements of a directory's parts.
+func directoryLen(parts [][]jxta.Advertisement) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
 	}
-	out := make([]jxta.Advertisement, 0, total)
+	return n
+}
+
+// mergeDirectory calls emit for every advertisement of parts, each already
+// in canonical order, in global canonical order: a k-way merge (k = shard
+// count, small) instead of re-sorting the whole directory. It consumes the
+// parts slice.
+func mergeDirectory(parts [][]jxta.Advertisement, emit func(*jxta.Advertisement)) {
 	for len(parts) > 0 {
 		min := 0
 		for i := 1; i < len(parts); i++ {
@@ -218,13 +247,12 @@ func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertise
 				min = i
 			}
 		}
-		out = append(out, parts[min][0])
+		emit(&parts[min][0])
 		if parts[min] = parts[min][1:]; len(parts[min]) == 0 {
 			parts[min] = parts[len(parts)-1]
 			parts = parts[:len(parts)-1]
 		}
 	}
-	return out
 }
 
 // RegisterSelector installs (or replaces) a selection model under its name.
@@ -570,8 +598,27 @@ func (b *Broker) handleDiscover(conn *pipe.Conn, d *wire.Decoder) {
 	if err != nil {
 		return
 	}
-	res := discoverResult{Advs: b.Advertisements(req.Kind, req.Name)}
-	conn.Send(res.encode())
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	b.encodeDiscover(e, req)
+	// Send only borrows the payload (the frame is the one copy), so the
+	// pooled buffer goes out as is.
+	conn.Send(e.Bytes())
+}
+
+// encodeDiscover appends the reply to req to e. A whole-kind query is
+// encoded straight from the shard memos, with no intermediate slice; the
+// bytes equal discoverResult{Advs: b.Advertisements(kind, name)}.encode().
+func (b *Broker) encodeDiscover(e *wire.Encoder, req discover) {
+	if req.Name != "" {
+		discoverResult{Advs: b.Advertisements(req.Kind, req.Name)}.encodeTo(e)
+		return
+	}
+	b.viewDirectory(req.Kind, func(parts [][]jxta.Advertisement) {
+		e.Byte(mtDiscoverResult)
+		e.Uint64(uint64(directoryLen(parts)))
+		mergeDirectory(parts, func(a *jxta.Advertisement) { a.Encode(e) })
+	})
 }
 
 func (b *Broker) handleSelect(conn *pipe.Conn, d *wire.Decoder) {

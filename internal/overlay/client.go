@@ -386,7 +386,10 @@ func (c *Client) currentStats() statsReport {
 
 // Discover queries the broker's directory for peer advertisements. A
 // successful result also refreshes the client's cached directory — the
-// snapshot degraded selection falls back to when the broker is gone.
+// snapshot degraded selection falls back to when the broker is gone. The
+// returned slice IS that cached directory, shared with the client and with
+// later results (which reuse its strings and attributes): callers must only
+// read it.
 func (c *Client) Discover() ([]jxta.Advertisement, error) {
 	reply, err := c.call(c.broker, discover{Kind: jxta.AdvPeer}.encode())
 	if err != nil {
@@ -396,7 +399,7 @@ func (c *Client) Discover() ([]jxta.Advertisement, error) {
 	if err != nil || kind != mtDiscoverResult {
 		return nil, fmt.Errorf("%w: discover", ErrBadReply)
 	}
-	res, err := decodeDiscoverResult(d)
+	res, err := decodeDiscoverResult(d, c.res.snapshotDir())
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +424,7 @@ func (c *Client) resolve(peer string) (transport.Addr, error) {
 	if err != nil || kind != mtDiscoverResult {
 		return "", fmt.Errorf("%w: discover", ErrBadReply)
 	}
-	res, err := decodeDiscoverResult(d)
+	res, err := decodeDiscoverResult(d, nil)
 	if err != nil || len(res.Advs) == 0 {
 		if addr, ok := c.cachedAddr(peer); ok {
 			return addr, nil

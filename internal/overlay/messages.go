@@ -145,12 +145,16 @@ type discoverResult struct {
 func (m discoverResult) encode() []byte {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
+	m.encodeTo(e)
+	return e.Detach()
+}
+
+func (m discoverResult) encodeTo(e *wire.Encoder) {
 	e.Byte(mtDiscoverResult)
 	e.Uint64(uint64(len(m.Advs)))
 	for _, a := range m.Advs {
 		a.Encode(e)
 	}
-	return e.Detach()
 }
 
 // selectReq asks the broker's selection service to rank peers.
@@ -406,14 +410,25 @@ func decodeDiscover(d *wire.Decoder) (discover, error) {
 	return m, d.Finish()
 }
 
-func decodeDiscoverResult(d *wire.Decoder) (discoverResult, error) {
+// decodeDiscoverResult decodes a directory reply against prev, the
+// previous reply's directory (nil for none): see jxta.DirDecoder. The
+// result equals a decode without prev, but shares strings and attributes
+// with it.
+func decodeDiscoverResult(d *wire.Decoder, prev []jxta.Advertisement) (discoverResult, error) {
 	n := d.Uint64()
 	if err := d.Err(); err != nil {
 		return discoverResult{}, err
 	}
+	if n > uint64(d.Remaining()/jxta.MinEncodedLen) {
+		return discoverResult{}, fmt.Errorf("%w: %d advertisements exceed remaining %d bytes", wire.ErrCorrupt, n, d.Remaining())
+	}
 	m := discoverResult{}
+	if n > 0 {
+		m.Advs = make([]jxta.Advertisement, 0, n)
+	}
+	dd := jxta.NewDirDecoder(prev)
 	for i := uint64(0); i < n; i++ {
-		a, err := jxta.DecodeAdvertisement(d)
+		a, err := dd.Decode(d)
 		if err != nil {
 			return discoverResult{}, err
 		}

@@ -299,7 +299,9 @@ func (m *Mux) sendFrame(peer transport.Addr, kind byte, dirTheirs bool, id, seq,
 	e.Uint64(ack)
 	hdrLen := e.Len() + uvarintLen(uint64(len(payload)))
 	e.BytesField(payload)
-	// Detach: the simulated transport retains the buffer until delivery.
+	// Detach: the frame is the one copy of the payload. The transport takes
+	// it over (simnet holds it until delivery, then the receiver owns it),
+	// which is what lets Send merely borrow its payload.
 	return m.ep.SendSized(peer, e.Detach(), hdrLen+size)
 }
 
@@ -367,6 +369,9 @@ func (c *Conn) Retransmissions() int64 {
 }
 
 // Send transmits payload reliably, blocking until the peer acknowledges it.
+// Send borrows payload for the call only: every transmission copies it into
+// a fresh frame, and no frame is built after Send returns, so the caller may
+// reuse the buffer (a pooled encoder's, say) as soon as it does.
 func (c *Conn) Send(payload []byte) error {
 	return c.SendSized(payload, len(payload))
 }
@@ -618,17 +623,17 @@ func (c *Conn) handleData(seq uint64, payload []byte, size int) {
 	if seq >= c.recvNext {
 		if seq == c.recvNext && len(c.recvBuf) == 0 {
 			// In-order fast path — the reorder buffer stays untouched (and,
-			// on a conn that never saw a gap, unallocated). Payload copied:
-			// it aliases the transport buffer.
-			c.inbox.Push(Message{Payload: append([]byte(nil), payload...), Size: size})
+			// on a conn that never saw a gap, unallocated). No copy: the
+			// payload aliases the delivered frame, which the transport gave
+			// to this receiver alone (see transport.Message).
+			c.inbox.Push(Message{Payload: payload, Size: size})
 			c.recvNext++
 		} else {
 			if c.recvBuf == nil {
 				c.recvBuf = make(map[uint64]Message)
 			}
 			if _, dup := c.recvBuf[seq]; !dup {
-				// Copy: the payload aliases the transport buffer.
-				c.recvBuf[seq] = Message{Payload: append([]byte(nil), payload...), Size: size}
+				c.recvBuf[seq] = Message{Payload: payload, Size: size}
 			}
 			for {
 				m, ok := c.recvBuf[c.recvNext]

@@ -51,6 +51,13 @@ func (a Addr) Service() string {
 }
 
 // Message is one datagram handed to an Endpoint.
+//
+// Buffer ownership: Endpoint.Send hands its payload to the transport, and
+// the sender must not modify it afterwards (simnet holds the very slice
+// until delivery). A delivered Payload belongs to the receiver: each sent
+// buffer is delivered at most once (simnet delivers the slice it was given;
+// realnet copies out of its read buffer), and the transport never touches
+// it again, so the receiver may keep or alias it without copying.
 type Message struct {
 	From    Addr
 	To      Addr

@@ -128,6 +128,10 @@ type Conductor struct {
 	renewEvery time.Duration
 	horizon    time.Duration
 	err        error
+	// Logf receives the conductor's operator-visible warnings (a failed
+	// churn join); nil falls back to the process default logger. Sweep
+	// cells set it so every warning is attributed to its cell.
+	Logf func(format string, args ...any)
 }
 
 // RenewalInterval is the lease-renewal heartbeat period for a broker lease
@@ -255,7 +259,7 @@ func (c *Conductor) apply(e scenario.ChurnEvent) {
 		if err != nil {
 			// Logged as well as recorded: a join firing after the driver
 			// already sampled Err() would otherwise vanish silently.
-			log.Printf("workload: WARNING: churn join of %s failed: %v", e.Label, err)
+			c.logf("workload: WARNING: churn join of %s failed: %v", e.Label, err)
 			if c.err == nil {
 				c.err = err
 			}
@@ -263,6 +267,15 @@ func (c *Conductor) apply(e scenario.ChurnEvent) {
 		}
 		c.clients[e.Label] = cl
 	}
+}
+
+// logf routes a warning through Logf, or the process default when unset.
+func (c *Conductor) logf(format string, args ...any) {
+	if c.Logf != nil {
+		c.Logf(format, args...)
+		return
+	}
+	log.Printf(format, args...)
 }
 
 // ClientOf resolves a label to its currently running client, or nil while

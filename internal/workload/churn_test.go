@@ -1,11 +1,16 @@
 package workload
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"peerlab/internal/overlay"
 	"peerlab/internal/scenario"
+	"peerlab/internal/simnet"
 )
 
 func ev(at time.Duration, label string, kind scenario.ChurnEventKind) scenario.ChurnEvent {
@@ -146,5 +151,34 @@ func TestStaggerIsPureAndBounded(t *testing.T) {
 	}
 	if reflect.DeepEqual(a(Flow{Index: 1}), Stagger(8, horizon)(Flow{Index: 1})) {
 		t.Fatal("different seeds drew identical stagger")
+	}
+}
+
+// TestConductorJoinWarningUsesLogf pins the warning routing of a failed
+// churn join: the warning lands in the conductor's Logf (the cell's
+// logger) and the failure stays readable through Err.
+func TestConductorJoinWarningUsesLogf(t *testing.T) {
+	net := simnet.New(3)
+	host := net.MustAddNode("ctl", simnet.DefaultProfile())
+	schedule := NewSchedule([]scenario.ChurnEvent{ev(10*time.Second, "late", scenario.ChurnJoin)})
+	bootErr := errors.New("no such node")
+	cond := NewConductor(host, schedule, 0, time.Minute, func(string) (*overlay.Client, error) {
+		return nil, bootErr
+	})
+	var got []string
+	cond.Logf = func(format string, args ...any) {
+		got = append(got, fmt.Sprintf(format, args...))
+	}
+	net.Run(func() {
+		if err := cond.BootInitial(); err != nil {
+			t.Errorf("BootInitial: %v", err)
+		}
+		cond.Start()
+	})
+	if len(got) != 1 || !strings.Contains(got[0], "churn join of late failed: no such node") {
+		t.Fatalf("supplied logger got %q", got)
+	}
+	if !errors.Is(cond.Err(), bootErr) {
+		t.Fatalf("Err() = %v, want the boot error", cond.Err())
 	}
 }
